@@ -1368,7 +1368,7 @@ def _chaos_shard_selftest(args: argparse.Namespace) -> int:
     result = run_shard_selftest(args.exec_fault, shards=args.selftest_shards,
                                 seed=args.seed)
     ok = (result["identical"] and result["reconciled"]
-          and result["recovered"])
+          and result["recovered"] and result["gauges_exact"])
     if args.as_json:
         print(json.dumps({**result, "ok": ok}, indent=1, sort_keys=True))
         return 0 if ok else 1
@@ -1390,6 +1390,11 @@ def _chaos_shard_selftest(args: argparse.Namespace) -> int:
                else "DIVERGED from serial")
     print(f"  sealed output ({result['sessions']} sessions): {verdict}",
           file=sys.stderr)
+    print(f"  level gauges: "
+          f"{'exact' if result['gauges_exact'] else 'DRIFTED'}",
+          file=sys.stderr)
+    for drift in result["gauge_drift"]:
+        print(f"    ! {drift}", file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -416,13 +416,15 @@ def run_shard_selftest(specs: list[str] | None = None, *, shards: int = 2,
     faults, one per shard) and checks the crash-safety contract end to
     end: the sealed output is byte-identical — by canonical digest — to
     the serial governed run of the same workload, the sharded ledger
-    reconciles (fed == routed + replayed + shed), and at least one
-    failover actually happened when a fault was armed.  Returns a plain
-    dict with the three verdicts plus the runtime counters.
+    reconciles (fed == routed + replayed + shed), at least one failover
+    actually happened when a fault was armed, and every worker's final
+    level gauges equal its stats (``gauges_exact``; a respawned worker
+    must not drift by the buffers it restored).  Returns a plain dict
+    with the four verdicts plus the runtime counters.
     """
     from repro.sessions.model import SessionSet
     from repro.simulator.adversarial import adversarial_workload
-    from repro.streaming.governor import GovernorConfig
+    from repro.streaming.governor import GovernorConfig, LEVEL_GAUGES
     from repro.streaming.pipeline import streaming_smart_sra
     from repro.streaming.sharded import (ShardedConfig,
                                          ShardedStreamingRuntime)
@@ -455,10 +457,20 @@ def run_shard_selftest(specs: list[str] | None = None, *, shards: int = 2,
         result = runtime.run(workload)
     stats = result.stats
     disturbed = stats.failovers + stats.shed_shards
+    drifted = [
+        f"shard {shard}: {gauge} = {snapshot['gauges'].get(gauge)}, "
+        f"{field} = {shard_stats[field]}"
+        for shard, (shard_stats, snapshot) in enumerate(
+            zip(result.shard_stats, result.shard_snapshots))
+        if shard_stats
+        for gauge, field in LEVEL_GAUGES.items()
+        if snapshot["gauges"].get(gauge) != shard_stats[field]]
     return {
         "identical": result.sessions.canonical_digest() == expected,
         "reconciled": stats.reconciles(),
         "recovered": (disturbed >= 1) if armed else True,
+        "gauges_exact": not drifted,
+        "gauge_drift": drifted,
         "specs": list(specs),
         "shards": shards,
         "requests": stats.fed,

@@ -401,17 +401,7 @@ class SessionSet:
 
     def to_jsonable(self) -> list[dict[str, object]]:
         """Encode as plain JSON-serializable data (see :meth:`from_jsonable`)."""
-        return [
-            {
-                "user": session.user_id if session else "",
-                "requests": [
-                    {"t": request.timestamp, "page": request.page,
-                     "synthetic": request.synthetic}
-                    for request in session
-                ],
-            }
-            for session in self._sessions
-        ]
+        return [_session_jsonable(session) for session in self._sessions]
 
     @classmethod
     def from_jsonable(cls, data: Iterable[Mapping[str, object]]) -> "SessionSet":
@@ -428,12 +418,35 @@ class SessionSet:
         return cls(sessions)
 
     def save(self, path: str) -> None:
-        """Write the set to ``path`` as JSON."""
+        """Write the set to ``path`` as JSON.
+
+        Byte-identical to ``json.dump`` of :meth:`to_jsonable`, but each
+        session goes through the C encoder of ``json.dumps`` (``dump``
+        runs the pure-Python iterative one) without ever holding the
+        whole document as one string.
+        """
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_jsonable(), handle)
+            handle.write("[")
+            for index, session in enumerate(self._sessions):
+                if index:
+                    handle.write(", ")
+                handle.write(json.dumps(_session_jsonable(session)))
+            handle.write("]")
 
     @classmethod
     def load(cls, path: str) -> "SessionSet":
         """Read a set previously written by :meth:`save`."""
         with open(path, encoding="utf-8") as handle:
             return cls.from_jsonable(json.load(handle))
+
+
+def _session_jsonable(session: Session) -> dict[str, object]:
+    """One session of :meth:`SessionSet.to_jsonable`."""
+    return {
+        "user": session.user_id if session else "",
+        "requests": [
+            {"t": request.timestamp, "page": request.page,
+             "synthetic": request.synthetic}
+            for request in session
+        ],
+    }

@@ -70,6 +70,7 @@ __all__ = [
     "GovernorConfig",
     "GovernedStreamingStats",
     "GovernedStreamingReconstructor",
+    "LEVEL_GAUGES",
     "SpillStore",
     "OverloadAudit",
     "audit_overload_config",
@@ -289,6 +290,17 @@ class SpillStore:
             return 0
         return sum(1 for name in names
                    if name.startswith("spill__") and name.endswith(".json"))
+
+
+#: level gauge -> the :class:`GovernedStreamingStats` field it mirrors.
+#: A run whose final gauges differ from these fields has drifted.
+LEVEL_GAUGES = {
+    "stream.buffered_requests": "buffered_requests",
+    "stream.active_users": "active_users",
+    "stream.reorder.depth": "reorder_buffered",
+    "governor.tracked_bytes": "tracked_bytes",
+    "governor.users.quarantined": "quarantined_users",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -816,6 +828,12 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
         sessions = super()._finish(user_id)
         self._tracked -= freed
         return sessions
+
+    def _reseed_gauges(self) -> None:
+        super()._reseed_gauges()
+        self._g_tracked.set(self._tracked)
+        self._g_spilled_users.set(len(self._spilled))
+        self._g_quarantined.set(len(self._quarantine))
 
     # -- introspection -----------------------------------------------------
 

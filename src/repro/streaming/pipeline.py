@@ -336,6 +336,14 @@ class StreamingReconstructor:
         self._g_users.set(len(self._buffers))
         return sessions
 
+    def _reseed_gauges(self) -> None:
+        """Set every level gauge from state (after a state restore)."""
+        self._g_buffered.set(sum(len(buffer)
+                                 for buffer in self._buffers.values()))
+        self._g_users.set(len(self._buffers))
+        self._g_reorder.set(len(self._reorder))
+        self._update_lag()
+
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> StreamingStats:

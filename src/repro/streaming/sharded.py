@@ -12,9 +12,12 @@ each running a :class:`~repro.streaming.governor.GovernedStreamingReconstructor`
 over one shard of the user population.  Per shard there are two OS
 pipes carrying the framed compact protocol of
 :mod:`repro.streaming.wire` — interned symbols plus fixed-width event
-records, never per-chunk pickles (the A17 lesson).  The coordinator's
-single ``select`` loop routes events, drains emitted sessions, and
-supervises liveness; workers are otherwise autonomous.
+records down, interned request tables of emitted sessions up, never
+per-chunk pickles (the A17 lesson).  The coordinator routes events in
+batches and turns its single ``select`` loop once per batch (and at
+every watermark): it writes each shard's queued bytes, drains every
+readable pipe until it would block, and supervises liveness; workers are
+otherwise autonomous and answer each read with one write.
 
 Crash safety rests on three pieces:
 
@@ -72,8 +75,10 @@ does.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import heapq
+import json
 import math
 import multiprocessing
 import os
@@ -122,6 +127,12 @@ _READ_CHUNK = 1 << 16
 
 #: select timeout of the coordinator loop, seconds.
 _PUMP_TIMEOUT = 0.05
+
+#: routed events between two turns of the coordinator loop.
+_PUMP_EVERY = 256
+
+#: bytes queued for one shard beyond which routing waits for its pipe.
+_OUTBOUND_HIGH = 1 << 16
 
 
 def shard_for(user_id: str, n_shards: int) -> int:
@@ -284,6 +295,10 @@ class ReplayLog:
     :mod:`repro.parallel.checkpoint`, and :meth:`recover` prefers the
     verified disk copy — falling back to memory and counting an
     integrity failure when the file is damaged.
+
+    The capsule is held as the coordinator received it: the opaque
+    payload of the worker's ACK frame.  It is decoded into a document
+    only to persist it; a capsule recovered from disk is that document.
     """
 
     def __init__(self, shard: int, capacity: int,
@@ -301,7 +316,7 @@ class ReplayLog:
         self.entries: deque[list[Any]] = deque()
         self.base_ordinal = 0
         self.base_wm = 0
-        self.capsule: dict[str, Any] | None = None
+        self.capsule: bytes | dict[str, Any] | None = None
         self.integrity_failures = 0
         self._events = 0
 
@@ -339,7 +354,7 @@ class ReplayLog:
         self._events = 0
 
     def ack(self, ordinal: int, wm_index: int,
-            capsule: dict[str, Any] | None) -> int:
+            capsule: bytes | dict[str, Any] | None) -> int:
         """Trim entries covered by an ACK; returns trimmed event count."""
         trimmed = 0
         entries = self.entries
@@ -363,12 +378,15 @@ class ReplayLog:
 
     def to_document(self) -> dict[str, Any]:
         """The persisted form (without the integrity digest)."""
+        capsule = self.capsule
+        if isinstance(capsule, bytes):
+            capsule = _capsule_document(capsule)
         return {
             "schema": REPLAY_SCHEMA,
             "shard": self.shard,
             "base_ordinal": self.base_ordinal,
             "base_wm": self.base_wm,
-            "capsule": self.capsule,
+            "capsule": capsule,
             "entries": [list(entry) for entry in self.entries],
         }
 
@@ -390,7 +408,8 @@ class ReplayLog:
                 last = max(last, entry[1])
         return last
 
-    def recover(self) -> tuple[dict[str, Any] | None, list[list[Any]]]:
+    def recover(self) -> tuple[bytes | dict[str, Any] | None,
+                               list[list[Any]]]:
         """State to rebuild a worker from: ``(capsule, entries)``.
 
         The in-memory log is authoritative while this coordinator is
@@ -482,6 +501,25 @@ def capsule_from(pipeline: Any) -> dict[str, Any]:
     }
 
 
+def _capsule_document(payload: bytes) -> dict[str, Any]:
+    """Decode an ACK payload into its capsule, stamped with its progress."""
+    ordinal, wm_index, _, body = wire.decode_progress(payload)
+    capsule = wire.decode_json(body)
+    capsule["ordinal"] = ordinal
+    capsule["wm_index"] = wm_index
+    return capsule
+
+
+def _cap_frame(capsule: bytes | dict[str, Any]) -> bytes:
+    """The CAP frame restoring ``capsule`` into a respawned worker."""
+    if isinstance(capsule, bytes):
+        return wire.frame(wire.CAP, capsule)
+    # a document recovered from a persisted replay log.
+    body = json.dumps(capsule, separators=(",", ":")).encode("utf-8")
+    return wire.progress_frame(wire.CAP, int(capsule["ordinal"]),
+                               int(capsule["wm_index"]), -math.inf, body)
+
+
 def restore_capsule(pipeline: Any, capsule: dict[str, Any]) -> None:
     """Restore a :func:`capsule_from` capsule into a fresh pipeline."""
     if capsule.get("schema") != REPLAY_SCHEMA:
@@ -533,24 +571,13 @@ def restore_capsule(pipeline: Any, capsule: dict[str, Any]) -> None:
     pipeline._tracked = int(counters["tracked"])
     pipeline._peak_tracked = int(counters["peak_tracked"])
     pipeline._feed_ordinal = int(counters["feed_ordinal"])
+    # a fresh incarnation's inc/dec level gauges start at zero; without
+    # this they would end the run short by the restored buffers.
+    pipeline._reseed_gauges()
 
 
 # ---------------------------------------------------------------------------
 # worker process
-
-
-def _session_document(session: Session) -> dict[str, Any]:
-    requests = session.requests
-    return {"user": requests[0].user_id,
-            "requests": [[r.timestamp, r.page, r.synthetic]
-                         for r in requests]}
-
-
-def _session_from_document(document: dict[str, Any]) -> Session:
-    user = document["user"]
-    return Session.from_trusted_parts(tuple(
-        Request(float(t), user, page, bool(synthetic))
-        for t, page, synthetic in document["requests"]))
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -569,16 +596,18 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
             os.close(fd)
         except OSError:
             pass
+    # the fork inherited the coordinator's heap (its parsed log, for
+    # one); keep the collector from walking it and copying every page.
+    gc.freeze()
     reader = wire.FrameReader()
     decoder = wire.SymbolDecoder()
+    # the upward table is this incarnation's own: restored buffers hold
+    # pages the coordinator never sent to it.
+    encoder = wire.SymbolEncoder()
     registry = Registry()
     pipeline = builder(registry)
     ordinal = 0
     wm_index = 0
-
-    def progress_document() -> dict[str, Any]:
-        return {"ordinal": ordinal, "wm_index": wm_index,
-                "watermark": pipeline._max_seen}
 
     def maybe_ack(out: bytearray) -> None:
         # spilled cold buffers live in this process's temp dir and die
@@ -586,27 +615,29 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
         # the previous one and let the log carry the extra events.
         if getattr(pipeline, "_spilled", None):
             return
-        document = progress_document()
-        document["capsule"] = capsule_from(pipeline)
-        out += wire.json_frame(wire.ACK, document)
+        capsule = json.dumps(capsule_from(pipeline),
+                             separators=(",", ":")).encode("utf-8")
+        out += wire.progress_frame(wire.ACK, ordinal, wm_index,
+                                   pipeline._max_seen, capsule)
+        # an ACK leaves at once, with the sessions it makes durable: held
+        # to the end of a large read, a crash would lose it and stretch
+        # the replay far past ack_interval.
+        _write_all(up_fd, out)
+        out.clear()
 
     try:
         while True:
             data = os.read(down_fd, _READ_CHUNK)
             if not data:
                 os._exit(0)
+            out = bytearray()
             for kind, payload in reader.feed(data):
-                out = bytearray()
                 if kind == wire.SYM:
                     decoder.add_symbol(payload)
-                    continue
-                if kind == wire.CAP:
-                    capsule = wire.decode_json(payload)
-                    restore_capsule(pipeline, capsule)
-                    ordinal = int(capsule["ordinal"])
-                    wm_index = int(capsule["wm_index"])
-                    continue
-                if kind == wire.EVT:
+                elif kind == wire.CAP:
+                    ordinal, wm_index, _, body = wire.decode_progress(payload)
+                    restore_capsule(pipeline, wire.decode_json(body))
+                elif kind == wire.EVT:
                     ts, user, page, referrer, synthetic = \
                         decoder.decode_event(payload)
                     ordinal += 1
@@ -617,31 +648,31 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
                         os._exit(0)
                     emitted = pipeline.feed(
                         Request(ts, user, page, synthetic, referrer))
-                    for session in emitted:
-                        out += wire.json_frame(wire.OUT,
-                                               _session_document(session))
+                    if emitted:
+                        encoder.encode_sessions(out, emitted)
                     if ordinal % ack_interval == 0:
                         maybe_ack(out)
                 elif kind == wire.WM:
                     watermark = wire.decode_watermark(payload)
                     wm_index += 1
-                    for session in pipeline.flush(watermark):
-                        out += wire.json_frame(wire.OUT,
-                                               _session_document(session))
+                    emitted = pipeline.flush(watermark)
+                    if emitted:
+                        encoder.encode_sessions(out, emitted)
                     maybe_ack(out)
                 elif kind == wire.EOF:
-                    for session in pipeline.flush():
-                        out += wire.json_frame(wire.OUT,
-                                               _session_document(session))
-                    document = progress_document()
-                    document["watermark"] = math.inf
-                    document["stats"] = dataclasses.asdict(pipeline.stats())
-                    document["snapshot"] = registry.snapshot()
-                    out += wire.json_frame(wire.DONE, document)
+                    emitted = pipeline.flush()
+                    if emitted:
+                        encoder.encode_sessions(out, emitted)
+                    out += wire.json_frame(wire.DONE, {
+                        "ordinal": ordinal, "wm_index": wm_index,
+                        "watermark": math.inf,
+                        "stats": dataclasses.asdict(pipeline.stats()),
+                        "snapshot": registry.snapshot()})
                     _write_all(up_fd, out)
                     os._exit(0)
-                if out:
-                    _write_all(up_fd, out)
+            # one write per read chunk (and per ACK), not per frame.
+            if out:
+                _write_all(up_fd, out)
     except BaseException:  # noqa: BLE001 - must report, then die
         try:
             _write_all(up_fd, wire.frame(
@@ -698,19 +729,22 @@ class ShardedRunResult:
             as a plain dict (empty for shed shards).
         recovery_seconds: wall-clock failover-to-first-ACK time of every
             recovery, in occurrence order.
+        shard_snapshots: each worker's final obs snapshot (empty for
+            shed shards), before the merge into the run's registry.
     """
 
     sessions: SessionSet
     stats: ShardedStreamingStats
     shard_stats: tuple[dict[str, Any], ...]
     recovery_seconds: tuple[float, ...] = ()
+    shard_snapshots: tuple[dict[str, Any], ...] = ()
 
 
 class _ShardHandle:
     """Coordinator-side mutable state of one shard."""
 
-    __slots__ = ("shard", "proc", "down_fd", "up_fd", "encoder", "reader",
-                 "outbound", "pending", "watermark", "last_inbound",
+    __slots__ = ("shard", "proc", "down_fd", "up_fd", "encoder", "decoder",
+                 "reader", "outbound", "pending", "watermark", "last_inbound",
                  "last_sent", "incarnation", "state", "eof_sent",
                  "events_sent", "wm_sent", "done", "failed_at")
 
@@ -720,6 +754,7 @@ class _ShardHandle:
         self.down_fd = -1
         self.up_fd = -1
         self.encoder = wire.SymbolEncoder()
+        self.decoder = wire.SymbolDecoder()
         self.reader = wire.FrameReader()
         self.outbound = bytearray()
         self.pending: list[Session] = []
@@ -797,6 +832,8 @@ class ShardedStreamingRuntime:
         self._handles: list[_ShardHandle] = []
         self._logs: list[ReplayLog] = []
         self._ledger = ShardLedger(self.sharded.shards)
+        self._shard_of: dict[str, int] = {}
+        self._unpumped = 0
         self._durable: list[tuple[float, int, Session]] = []
         self._durable_seq = 0
         self._sealed: list[Session] = []
@@ -819,7 +856,7 @@ class ShardedStreamingRuntime:
                                    governor=self.governor, **options)
 
     def _spawn(self, handle: _ShardHandle,
-               capsule: dict[str, Any] | None,
+               capsule: bytes | dict[str, Any] | None,
                entries: list[list[Any]]) -> None:
         down_read, down_write = os.pipe()
         up_read, up_write = os.pipe()
@@ -845,6 +882,7 @@ class ShardedStreamingRuntime:
         handle.down_fd = down_write
         handle.up_fd = up_read
         handle.encoder = wire.SymbolEncoder()
+        handle.decoder = wire.SymbolDecoder()
         handle.reader = wire.FrameReader()
         handle.outbound = bytearray()
         handle.state = "running"
@@ -852,7 +890,7 @@ class ShardedStreamingRuntime:
         handle.last_sent = handle.last_inbound
         self._gauge("sharded.shard.alive", handle.shard).set(1)
         if capsule is not None:
-            handle.outbound += wire.json_frame(wire.CAP, capsule)
+            handle.outbound += _cap_frame(capsule)
         for entry in entries:
             if entry[0] == "evt":
                 _, _, ts, user, page, referrer, synthetic = entry
@@ -939,6 +977,7 @@ class ShardedStreamingRuntime:
                 self._route(request)
                 last_flush = self._maybe_flush(request.timestamp, last_flush,
                                                flush_interval, 0.0)
+        self._end_batch()
         for handle in self._handles:
             if handle.state in ("running",):
                 handle.outbound += wire.frame(wire.EOF)
@@ -959,33 +998,56 @@ class ShardedStreamingRuntime:
                 self._logs[handle.shard].append_watermark(
                     handle.wm_sent, watermark)
                 handle.outbound += wire.watermark_frame(watermark)
+        self._end_batch()
         return released_ts
 
     def _route(self, request: Request) -> None:
-        shard = shard_for(request.user_id, self._ledger.shards)
+        user = request.user_id
+        shard = self._shard_of.get(user)
+        if shard is None:
+            shard = self._shard_of[user] = shard_for(user,
+                                                     self._ledger.shards)
         handle = self._handles[shard]
         log = self._logs[shard]
         # a full replay log is backpressure: wait for an ACK (or for the
         # lease supervisor to declare the shard wedged) before routing
         # more events at it.
-        while (handle.state == "running"
-               and log.event_count >= log.capacity):
-            self._pump(_PUMP_TIMEOUT)
+        if handle.state == "running" and log.event_count >= log.capacity:
+            self._end_batch()
+            while (handle.state == "running"
+                   and log.event_count >= log.capacity):
+                self._pump(_PUMP_TIMEOUT)
         if not self._ledger.route(shard):
             self._count("sharded.events.shed")
             return
         handle.events_sent += 1
-        log.append_event(handle.events_sent, request.timestamp,
-                         request.user_id, request.page, request.referrer,
-                         request.synthetic)
+        log.append_event(handle.events_sent, request.timestamp, user,
+                         request.page, request.referrer, request.synthetic)
         handle.encoder.encode_event(
-            handle.outbound, request.timestamp, request.user_id,
-            request.page, request.referrer, request.synthetic)
-        self._count("sharded.events.routed")
+            handle.outbound, request.timestamp, user, request.page,
+            request.referrer, request.synthetic)
         if request.timestamp > self._head:
             self._head = request.timestamp
-        self._gauge("sharded.replay.events", shard).set(log.event_count)
-        self._update_lag(handle)
+        self._unpumped += 1
+        if len(handle.outbound) >= _OUTBOUND_HIGH:
+            # the worker is behind: wait for its pipe instead of queueing
+            # without bound or pumping again for every event.
+            self._end_batch()
+            while (handle.state == "running"
+                   and len(handle.outbound) >= _OUTBOUND_HIGH):
+                self._pump(_PUMP_TIMEOUT)
+        elif self._unpumped >= _PUMP_EVERY:
+            self._end_batch()
+
+    def _end_batch(self) -> None:
+        """Publish the routed batch's counters and gauges, then pump."""
+        self._count("sharded.events.routed", self._unpumped)
+        self._unpumped = 0
+        for handle in self._handles:
+            if handle.state == "running":
+                self._gauge("sharded.replay.events", handle.shard).set(
+                    self._logs[handle.shard].event_count)
+                self._update_lag(handle)
         self._pump(0.0)
 
     # -- the select loop ----------------------------------------------------
@@ -1015,58 +1077,73 @@ class ShardedStreamingRuntime:
             # a _fail earlier in this very loop may have respawned the
             # handle onto fresh descriptors; acting on the stale fd would
             # hit a closed (or worse, reused) descriptor.
-            if (handle.state != "running" or handle.down_fd != fd
-                    or not handle.outbound):
-                continue
+            if handle.state == "running" and handle.down_fd == fd:
+                self._write_queued(handle)
+        for fd in readable:
+            handle = by_up[fd]
+            if handle.state == "running" and handle.up_fd == fd:
+                self._drain(handle)
+
+    def _write_queued(self, handle: _ShardHandle) -> None:
+        """Write the shard's queued bytes until the pipe would block."""
+        fd = handle.down_fd
+        while handle.outbound:
             try:
-                written = os.write(fd, handle.outbound[:_READ_CHUNK])
-                del handle.outbound[:written]
-                if written:
-                    handle.last_sent = time.monotonic()
+                written = os.write(fd, handle.outbound)
             except BlockingIOError:
-                continue
+                return
             except OSError:
                 self._worker_deaths += 1
                 self._count("sharded.worker_deaths")
                 self._fail(handle, "pipe write failed (dead worker)")
-        for fd in readable:
-            handle = by_up[fd]
-            if handle.state != "running" or handle.up_fd != fd:
-                continue
+                return
+            del handle.outbound[:written]
+            handle.last_sent = time.monotonic()
+
+    def _drain(self, handle: _ShardHandle) -> None:
+        """Read and apply the shard's frames until the pipe would block."""
+        fd = handle.up_fd
+        while handle.state == "running" and handle.up_fd == fd:
             try:
                 data = os.read(fd, _READ_CHUNK)
             except BlockingIOError:
-                continue
+                return
             except OSError:
                 data = b""
             if not data:
                 self._worker_deaths += 1
                 self._count("sharded.worker_deaths")
                 self._fail(handle, "pipe EOF (dead worker)")
-                continue
+                return
             handle.last_inbound = time.monotonic()
             try:
                 for kind, payload in handle.reader.feed(data):
                     self._on_frame(handle, kind, payload)
-                    if handle.state != "running":
-                        break
+                    if handle.state != "running" or handle.up_fd != fd:
+                        return
             except WireProtocolError as error:
                 self._fail(handle, f"protocol error: {error}")
+                return
 
     def _on_frame(self, handle: _ShardHandle, kind: int,
                   payload: bytes) -> None:
         if kind == wire.OUT:
-            handle.pending.append(
-                _session_from_document(wire.decode_json(payload)))
+            handle.pending.extend(handle.decoder.decode_sessions(payload))
+            return
+        if kind == wire.SYM:
+            handle.decoder.add_symbol(payload)
             return
         if kind == wire.ACK:
-            document = wire.decode_json(payload)
-            self._absorb_progress(handle, document,
-                                  capsule=document.get("capsule"))
+            ordinal, wm_index, watermark, _ = wire.decode_progress(payload)
+            # the payload stays opaque: it is the CAP of a respawn.
+            self._absorb_progress(handle, ordinal, wm_index, watermark,
+                                  payload)
             return
         if kind == wire.DONE:
             document = wire.decode_json(payload)
-            self._absorb_progress(handle, document, capsule=None)
+            self._absorb_progress(handle, int(document["ordinal"]),
+                                  int(document["wm_index"]),
+                                  float(document["watermark"]), None)
             handle.done = document
             handle.state = "done"
             handle.watermark = math.inf
@@ -1084,18 +1161,12 @@ class ShardedStreamingRuntime:
         raise WireProtocolError(
             f"unexpected frame kind {kind} from shard {handle.shard}")
 
-    def _absorb_progress(self, handle: _ShardHandle,
-                         document: dict[str, Any],
-                         capsule: dict[str, Any] | None) -> None:
-        if capsule is not None:
-            capsule = dict(capsule)
-            capsule["ordinal"] = document["ordinal"]
-            capsule["wm_index"] = document["wm_index"]
+    def _absorb_progress(self, handle: _ShardHandle, ordinal: int,
+                         wm_index: int, watermark: float,
+                         capsule: bytes | None) -> None:
         log = self._logs[handle.shard]
-        trimmed = log.ack(int(document["ordinal"]),
-                          int(document["wm_index"]), capsule)
+        trimmed = log.ack(ordinal, wm_index, capsule)
         self._ledger.ack(handle.shard, trimmed)
-        watermark = float(document["watermark"])
         if watermark > handle.watermark:
             handle.watermark = watermark
         if handle.failed_at is not None:
@@ -1221,9 +1292,12 @@ class ShardedStreamingRuntime:
         ordered = sorted(self._sealed, key=lambda s: s.canonical_key())
         shard_stats = tuple(
             (h.done or {}).get("stats", {}) for h in self._handles)
+        shard_snapshots = tuple(
+            (h.done or {}).get("snapshot", {}) for h in self._handles)
         return ShardedRunResult(sessions=SessionSet(ordered), stats=stats,
                                 shard_stats=shard_stats,
-                                recovery_seconds=tuple(self._recoveries))
+                                recovery_seconds=tuple(self._recoveries),
+                                shard_snapshots=shard_snapshots)
 
     def _cleanup(self) -> None:
         for handle in self._handles:

@@ -18,8 +18,9 @@ from repro.obs import Registry
 from repro.sessions.model import Request, SessionSet
 from repro.simulator.adversarial import adversarial_workload
 from repro.streaming import (ShardedConfig, ShardedStreamingRuntime,
-                             streaming_smart_sra)
+                             shard_for, streaming_smart_sra)
 from repro.streaming.governor import GovernorConfig
+from repro.streaming.sharded import _PUMP_EVERY
 from repro.parallel import RetryPolicy
 from repro.topology.generators import random_site
 
@@ -92,6 +93,36 @@ def test_two_kills_leave_uniform_output_byte_identical(topology,
     # every recovery is timed, failover-to-first-ACK.
     assert len(result.recovery_seconds) == 2
     assert all(seconds >= 0.0 for seconds in result.recovery_seconds)
+
+
+def test_kills_inside_a_routed_batch_and_past_an_ack(topology,
+                                                     uniform_stream):
+    # without watermarks the coordinator routes in batches of exactly
+    # _PUMP_EVERY events; shard 0 dies on the event in the middle of the
+    # second batch, shard 1 on the first event past its fourth ACK.
+    ack = 8
+    owners = [shard_for(r.user_id, 2) for r in uniform_stream]
+    middle = owners[:_PUMP_EVERY + _PUMP_EVERY // 2].count(0)
+    registry = Registry()
+    runtime = ShardedStreamingRuntime(
+        topology,
+        sharded=ShardedConfig(shards=2, ack_interval=ack, retry=RETRY),
+        governor=GOVERNOR, registry=registry)
+    with use_execution_faults(f"kill-worker:0:{middle}",
+                              f"kill-worker:1:{4 * ack + 1}"):
+        result = runtime.run(uniform_stream)
+    stats = result.stats
+    assert stats.failovers == 2
+    assert stats.reconciles(), stats
+    # events acked before a kill are not replayed: a respawn restored
+    # a capsule rather than starting over.
+    assert stats.routed > 0
+    assert (result.sessions.canonical_digest()
+            == serial_digest(topology, uniform_stream))
+    # the restored buffers reseed the level gauges: no drift at the end.
+    assert registry.gauge("stream.buffered_requests").value == 0
+    for snapshot in result.shard_snapshots:
+        assert snapshot["gauges"]["stream.buffered_requests"] == 0
 
 
 def test_repeated_kills_of_one_shard_still_converge(topology,

@@ -11,19 +11,20 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 import pytest
 
 from repro.exceptions import (ConfigurationError, ExecutionError,
                               WireProtocolError)
 from repro.obs import Registry
-from repro.sessions.model import Request, SessionSet
+from repro.sessions.model import Request, Session, SessionSet
 from repro.streaming import (ShardedConfig, ShardedStreamingRuntime,
                              audit_sharded_config, shard_for,
                              streaming_smart_sra)
 from repro.streaming.governor import GovernorConfig
-from repro.streaming.sharded import (ReplayLog, ShardLedger, capsule_from,
-                                     restore_capsule)
+from repro.streaming.sharded import (ReplayLog, ShardLedger, _cap_frame,
+                                     capsule_from, restore_capsule)
 from repro.streaming import wire
 from repro.topology.generators import random_site
 
@@ -52,18 +53,84 @@ class TestWireProtocol:
         assert len(decoder) == len(encoder) == 3
 
     def test_reader_reassembles_frames_split_across_chunks(self):
-        payloads = [wire.json_frame(wire.ACK, {"ordinal": 7}),
-                    wire.watermark_frame(42.5),
-                    wire.frame(wire.EOF)]
-        stream = b"".join(payloads)
+        upward = bytearray()
+        encoder = wire.SymbolEncoder()
+        encoder.encode_sessions(upward, [_session("u", (1.0, "/a"),
+                                                  (2.0, "/b"))])
+        capsule = b'{"schema":1}'
+        stream = (bytes(upward)
+                  + wire.progress_frame(wire.ACK, 7, 2, 42.5, capsule)
+                  + wire.watermark_frame(42.5) + wire.frame(wire.EOF))
         reader = wire.FrameReader()
         frames = []
         for i in range(0, len(stream), 3):     # pathological chunking
             frames.extend(reader.feed(stream[i:i + 3]))
-        assert [kind for kind, _ in frames] == [wire.ACK, wire.WM, wire.EOF]
-        assert wire.decode_json(frames[0][1]) == {"ordinal": 7}
-        assert wire.decode_watermark(frames[1][1]) == 42.5
+        kinds = [kind for kind, _ in frames]
+        assert kinds == [wire.SYM] * 3 + [wire.OUT, wire.ACK, wire.WM,
+                                          wire.EOF]
+        decoder = wire.SymbolDecoder()
+        for _, payload in frames[:3]:
+            decoder.add_symbol(payload)
+        [session] = decoder.decode_sessions(frames[3][1])
+        assert session.canonical_key() == (
+            "u", ((1.0, "/a", False), (2.0, "/b", False)))
+        # the capsule rides opaque: the ACK payload is a valid CAP payload.
+        assert wire.decode_progress(frames[4][1]) == (7, 2, 42.5, capsule)
+        assert wire.decode_watermark(frames[5][1]) == 42.5
         assert reader.pending_bytes == 0
+
+    def test_session_frame_roundtrip_shares_requests(self):
+        # two sessions of one user share a prefix; a synthetic request
+        # equals (by Request equality) a real one at the same instant and
+        # page, so only a (timestamp, page, synthetic) key keeps both.
+        sessions = [
+            _session("nat", (1.0, "/a"), (5.0, "/b"), (9.0, "/c")),
+            _session("nat", (1.0, "/a"), (5.0, "/b"), (9.0, "/d")),
+            _session("nat", (1.0, "/a"), (5.0, "/b", True)),
+            _session("bot", (1.0, "/a"), (2.0, "/a")),
+        ]
+        out = bytearray()
+        wire.SymbolEncoder().encode_sessions(out, sessions)
+        decoder = wire.SymbolDecoder()
+        decoded = None
+        for kind, payload in wire.FrameReader().feed(bytes(out)):
+            if kind == wire.SYM:
+                decoder.add_symbol(payload)
+            else:
+                assert kind == wire.OUT and decoded is None
+                n_requests, _ = struct.unpack_from("!II", payload)
+                decoded = decoder.decode_sessions(payload)
+        # /a@1 /b@5 /c@9 /d@9 /b@5(synthetic) /a@2 — "bot" reuses /a@1.
+        assert n_requests == 6
+        assert ([s.canonical_key() for s in decoded]
+                == [s.canonical_key() for s in sessions])
+        assert decoded[0][0] is decoded[1][0]
+        assert decoded[2][1].synthetic and not decoded[0][1].synthetic
+        assert decoded[3][0].user_id == "bot"
+        assert decoded[0][0].user_id == "nat"
+
+    def test_malformed_session_frames_are_protocol_errors(self):
+        decoder = wire.SymbolDecoder()
+        decoder.add_symbol(b"user")
+        decoder.add_symbol(b"/a")
+
+        def payload(positions, page=1, user=0):
+            return struct.pack(f"!II d i B i I {len(positions)}i", 1, 1,
+                               1.0, page, 0, user, len(positions),
+                               *positions)
+
+        assert decoder.decode_sessions(payload([0]))[0].canonical_key() \
+            == ("user", ((1.0, "/a", False),))
+        with pytest.raises(WireProtocolError):       # truncated
+            decoder.decode_sessions(payload([0])[:-3])
+        with pytest.raises(WireProtocolError):
+            decoder.decode_sessions(payload([0])[:5])
+        with pytest.raises(WireProtocolError):       # outside the table
+            decoder.decode_sessions(payload([1]))
+        with pytest.raises(WireProtocolError):       # unknown symbols
+            decoder.decode_sessions(payload([0], page=2))
+        with pytest.raises(WireProtocolError):
+            decoder.decode_sessions(payload([0], user=-1))
 
     def test_unknown_kind_and_bad_payloads_are_protocol_errors(self):
         with pytest.raises(WireProtocolError):
@@ -74,11 +141,18 @@ class TestWireProtocol:
             wire.decode_watermark(b"\x00" * 3)
         with pytest.raises(WireProtocolError):
             wire.SymbolDecoder().decode_event(b"\x00" * 21)
+        with pytest.raises(WireProtocolError):
+            wire.decode_progress(b"\x00" * 3)
 
     def test_infinite_watermark_survives_the_wire(self):
         _, payload = next(iter(
             wire.FrameReader().feed(wire.watermark_frame(math.inf))))
         assert wire.decode_watermark(payload) == math.inf
+
+
+def _session(user, *requests):
+    return Session(Request(timestamp, user, page, *synthetic)
+                   for timestamp, page, *synthetic in requests)
 
 
 class TestShardRouter:
@@ -197,6 +271,33 @@ class TestReplayLog:
         capsule, entries = log.recover()
         assert entries == [["evt", 1, 1.0, "u", "/p", None, False]]
         assert log.integrity_failures == 1
+
+    def test_persisted_ack_payload_recovers_into_a_cap_frame(self, tmp_path):
+        # in memory the capsule is the worker's opaque ACK payload; on
+        # disk it is a document, and both must restore the same worker.
+        topology = random_site(n_pages=30, avg_out_degree=4.0, seed=1)
+        governor = GovernorConfig(memory_budget=1 << 30)
+        pipeline = streaming_smart_sra(topology, governor=governor,
+                                       registry=Registry())
+        pipeline.feed_many([Request(1.0, "u", "P1"), Request(2.0, "u", "P2")])
+        body = json.dumps(capsule_from(pipeline)).encode("utf-8")
+        ack = wire.progress_frame(wire.ACK, 2, 0, 2.0, body)
+        payload = next(wire.FrameReader().feed(ack))[1]
+        log = ReplayLog(0, capacity=8, directory=str(tmp_path))
+        log.append_event(1, 1.0, "u", "P1", None, False)
+        log.append_event(2, 2.0, "u", "P2", None, False)
+        log.ack(2, 0, capsule=payload)
+        assert log.capsule == payload                # kept opaque
+        capsule, entries = log.recover()             # disk covers memory
+        assert isinstance(capsule, dict) and entries == []
+        for recovered in (capsule, payload):
+            _, cap = next(wire.FrameReader().feed(_cap_frame(recovered)))
+            ordinal, wm_index, _, restored = wire.decode_progress(cap)
+            assert (ordinal, wm_index) == (2, 0)
+            fresh = streaming_smart_sra(topology, governor=governor,
+                                        registry=Registry())
+            restore_capsule(fresh, wire.decode_json(restored))
+            assert fresh.stats() == pipeline.stats()
 
 
 class TestStateCapsule:
